@@ -10,7 +10,6 @@ and for a pure state ``psi``: ``F(psi, sigma) = <psi| sigma |psi>``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .matrices import COMPLEX, dagger, projector
 
@@ -52,7 +51,10 @@ def maximally_entangled_state(num_qubits: int) -> np.ndarray:
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Fidelity between two density matrices (Nielsen–Chuang convention).
 
-    Accepts state vectors too (they are promoted to projectors).
+    Accepts state vectors too (they are promoted to projectors).  Two
+    mixed states take ``F`` from the eigenvalues of
+    ``sqrt(rho) sigma sqrt(rho)``, with ``sqrt(rho)`` from a Hermitian
+    eigendecomposition.
     """
     rho = _to_density(rho)
     sigma = _to_density(sigma)
@@ -63,9 +65,10 @@ def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     if _is_pure(sigma):
         vec = _principal_vector(sigma)
         return float(np.real(np.conjugate(vec) @ rho @ vec))
-    sqrt_rho = sqrtm(rho)
-    inner = sqrtm(sqrt_rho @ sigma @ sqrt_rho)
-    val = np.real(np.trace(inner)) ** 2
+    sqrt_rho = _psd_sqrt(rho)
+    inner = sqrt_rho @ sigma @ sqrt_rho
+    eigvals = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
+    val = np.sum(np.sqrt(np.clip(eigvals, 0.0, None))) ** 2
     return float(min(max(val, 0.0), 1.0 + 1e-9))
 
 
@@ -84,6 +87,17 @@ def _to_density(state: np.ndarray) -> np.ndarray:
 
 def _is_pure(rho: np.ndarray) -> bool:
     return abs(np.real(np.trace(rho @ rho)) - 1.0) < 1e-9
+
+
+def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
+    """Square root of a density matrix via its Hermitian eigendecomposition.
+
+    Eigenvalues are clipped at 0, so round-off negatives cannot turn the
+    root complex.
+    """
+    eigvals, eigvecs = np.linalg.eigh((rho + dagger(rho)) / 2)
+    roots = np.sqrt(np.clip(eigvals, 0.0, None))
+    return (eigvecs * roots) @ dagger(eigvecs)
 
 
 def _principal_vector(rho: np.ndarray) -> np.ndarray:

@@ -8,18 +8,27 @@ so we provide:
 
 * :func:`sequential_order` — first-occurrence (circuit time) order;
 * :func:`min_fill_order` — the classic greedy min-fill elimination
-  heuristic, implemented here directly;
-* :func:`tree_decomposition_order` — an elimination order extracted from
-  networkx's approximate minimum-width tree decomposition.
+  heuristic;
+* :func:`tree_decomposition_order` — an elimination order read off the
+  min-fill tree decomposition of each connected component (the
+  construction of networkx's ``treewidth_min_fill_in``, reproduced
+  exactly).
+
+Both min-fill heuristics run on one elimination core, :func:`_eliminate`;
+they differ only in the tie-break of the selection key and in whether
+elimination stops once the remaining graph is a clique.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
-
-import networkx as nx
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .network import TensorNetwork
+
+#: Vertex-indexed adjacency: vertex ``i`` is the ``i``-th label in
+#: first-occurrence order.
+_Adjacency = Dict[int, Set[int]]
 
 
 def sequential_order(network: TensorNetwork) -> List[str]:
@@ -27,23 +36,98 @@ def sequential_order(network: TensorNetwork) -> List[str]:
     return network.all_indices()
 
 
-def interaction_graph(network: TensorNetwork) -> nx.Graph:
-    """Index co-occurrence graph of the network (Markov–Shi line graph)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(network.all_indices())
-    for edge in network.line_graph_edges():
-        a, b = tuple(edge)
-        graph.add_edge(a, b)
+def interaction_graph(network: TensorNetwork) -> Dict[str, Set[str]]:
+    """Index co-occurrence graph of the network (Markov–Shi line graph).
+
+    Returned as an adjacency mapping whose keys are every index label in
+    first-occurrence order.
+    """
+    graph: Dict[str, Set[str]] = {label: set() for label in network.all_indices()}
+    for a, b in network.line_graph_edges():
+        graph[a].add(b)
+        graph[b].add(a)
     return graph
 
 
-def _fill_count(adjacency: Dict[str, Set[str]], vertex: str) -> int:
+def _indexed_graph(network: TensorNetwork) -> Tuple[List[str], _Adjacency]:
+    """Labels in first-occurrence order and the graph over their positions."""
+    graph = interaction_graph(network)
+    labels = list(graph)
+    position = {label: i for i, label in enumerate(labels)}
+    adjacency = {
+        i: {position[b] for b in graph[label]} for i, label in enumerate(labels)
+    }
+    return labels, adjacency
+
+
+def _fill_count(adjacency: _Adjacency, vertex: int) -> int:
     """Missing edges among ``vertex``'s neighbourhood (its fill-in)."""
-    fill = 0
-    nbr_list = list(adjacency[vertex])
-    for i, a in enumerate(nbr_list):
-        fill += sum(1 for b in nbr_list[i + 1:] if b not in adjacency[a])
-    return fill
+    nbrs = adjacency[vertex]
+    degree = len(nbrs)
+    present = sum(len(nbrs & adjacency[a]) for a in nbrs)
+    return (degree * (degree - 1) - present) // 2
+
+
+def _eliminate(
+    adjacency: _Adjacency, rank: Sequence[int], stop_at_clique: bool
+) -> List[Tuple[int, Set[int]]]:
+    """Greedy min-fill elimination, consuming ``adjacency`` in place.
+
+    Each step eliminates the vertex with the smallest
+    ``(fill, degree, rank[vertex])`` key — ``rank`` must be unique per
+    vertex — and connects its neighbourhood into a clique.  Returns the
+    eliminated vertices with their neighbourhoods at elimination time.
+    With ``stop_at_clique`` elimination ends as soon as the remaining
+    graph is complete (tracked through the edge count) and the clique is
+    left in ``adjacency``; otherwise every vertex is eliminated.
+
+    Fill counts are kept incrementally, so eliminating ``u`` touches only
+    its 2-neighbourhood.  Each new clique edge ``(a, b)`` fills one
+    missing pair for every common neighbour of ``a`` and ``b``, and adds
+    to ``a``'s fill its neighbours not adjacent to ``b`` (and the other
+    way round).  Removing ``u`` afterwards drops, for each neighbour
+    ``a``, the missing pairs ``(u, x)``: ``x`` is a neighbour of ``a``
+    outside ``u``'s neighbourhood.  A lazy-deletion heap picks the next
+    vertex: an entry whose fill or degree is out of date is skipped when
+    popped.
+    """
+    fill = {v: _fill_count(adjacency, v) for v in adjacency}
+    heap = [(fill[v], len(nbrs), rank[v], v) for v, nbrs in adjacency.items()]
+    heapify(heap)
+    edges = sum(len(nbrs) for nbrs in adjacency.values()) // 2
+    eliminated: List[Tuple[int, Set[int]]] = []
+    while adjacency:
+        remaining = len(adjacency)
+        if stop_at_clique and 2 * edges == remaining * (remaining - 1):
+            break
+        vfill, degree, _, vertex = heappop(heap)
+        nbrs = adjacency.get(vertex)
+        if nbrs is None or vfill != fill[vertex] or degree != len(nbrs):
+            continue
+        changed = set(nbrs)
+        for a in nbrs:
+            missing = nbrs - adjacency[a]
+            missing.discard(a)
+            for b in missing:
+                common = adjacency[a] & adjacency[b]
+                fill[a] += len(adjacency[a]) - len(common)
+                fill[b] += len(adjacency[b]) - len(common)
+                for w in common:
+                    fill[w] -= 1
+                changed |= common
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+            edges += len(missing)
+        del adjacency[vertex], fill[vertex]
+        changed.discard(vertex)
+        edges -= len(nbrs)
+        for a in nbrs:  # a's neighbours: nbrs - {a}, vertex, and the x
+            fill[a] -= len(adjacency[a]) - len(nbrs)
+            adjacency[a].discard(vertex)
+        eliminated.append((vertex, nbrs))
+        for w in changed:
+            heappush(heap, (fill[w], len(adjacency[w]), rank[w], w))
+    return eliminated
 
 
 def min_fill_order(network: TensorNetwork) -> List[str]:
@@ -52,83 +136,95 @@ def min_fill_order(network: TensorNetwork) -> List[str]:
     At each step, eliminate the vertex whose elimination adds the fewest
     fill-in edges (ties broken by smaller degree, then label for
     determinism), then connect its neighbourhood into a clique.
-
-    Fill counts are maintained *incrementally*: eliminating ``u`` can
-    only change the fill of vertices whose neighbourhood (or adjacency
-    among its members) changed — ``u``'s neighbours, which lose ``u`` and
-    may gain clique edges, and their neighbours, which may see one of the
-    new clique edges appear inside their own neighbourhood.  Only that
-    2-neighbourhood is recounted per round instead of every remaining
-    vertex, turning the quadratic full recount into work proportional to
-    the eliminated vertex's locality.  Selection uses the same
-    ``(fill, degree, label)`` key as the naive scan and the key is unique
-    per vertex, so the output is byte-identical to the reference
-    implementation (asserted in the test suite).
     """
-    graph = interaction_graph(network)
-    adjacency: Dict[str, Set[str]] = {v: set(graph[v]) for v in graph.nodes}
-    fill: Dict[str, int] = {v: _fill_count(adjacency, v) for v in adjacency}
-    order: List[str] = []
-    while adjacency:
-        best = min(
-            adjacency,
-            key=lambda v: (fill[v], len(adjacency[v]), v),
-        )
-        order.append(best)
-        nbrs = adjacency.pop(best)
-        del fill[best]
-        for a in nbrs:
-            adjacency[a].discard(best)
-        nbr_list = list(nbrs)
-        for i, a in enumerate(nbr_list):
-            for b in nbr_list[i + 1:]:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        touched: Set[str] = set(nbrs)
-        for a in nbrs:
-            touched.update(adjacency[a])
-        touched &= adjacency.keys()
-        for vertex in touched:
-            fill[vertex] = _fill_count(adjacency, vertex)
-    return order
+    labels, adjacency = _indexed_graph(network)
+    rank = [0] * len(labels)
+    for r, vertex in enumerate(sorted(range(len(labels)), key=labels.__getitem__)):
+        rank[vertex] = r
+    eliminated = _eliminate(adjacency, rank, stop_at_clique=False)
+    return [labels[vertex] for vertex, _ in eliminated]
 
 
 def tree_decomposition_order(network: TensorNetwork) -> List[str]:
-    """Elimination order from networkx's approximate tree decomposition.
+    """Elimination order from the min-fill tree decomposition.
 
-    The decomposition is computed with the min-fill-in heuristic; the
-    elimination order is recovered by repeatedly peeling a leaf bag and
-    eliminating the vertices private to it — the standard way to turn a
-    tree decomposition into an elimination order of the same width.
+    Each connected component (in order of its first index) is eliminated
+    by min-fill, ties broken by degree and then first occurrence, until
+    what remains is a clique.  The clique and the eliminated vertices'
+    closed neighbourhoods form the bags of a tree decomposition; the
+    order is recovered by repeatedly peeling a leaf bag and eliminating
+    the vertices private to it — the standard way to turn a tree
+    decomposition into an elimination order of the same width.
     """
-    graph = interaction_graph(network)
-    if graph.number_of_nodes() == 0:
-        return []
+    labels, adjacency = _indexed_graph(network)
+    rank = range(len(labels))
     order: List[str] = []
-    for component in nx.connected_components(graph):
-        sub = graph.subgraph(component).copy()
-        _, tree = nx.approximation.treewidth_min_fill_in(sub)
-        order.extend(_elimination_order_from_tree(tree, set(component)))
+    for component in _components(adjacency):
+        graph = {v: adjacency[v] for v in component}
+        eliminated = _eliminate(graph, rank, stop_at_clique=True)
+        order.extend(_order_from_bags(eliminated, set(graph), labels))
     return order
 
 
-def _elimination_order_from_tree(tree: nx.Graph, vertices: Set[str]) -> List[str]:
+def _components(adjacency: _Adjacency) -> List[List[int]]:
+    """Connected components, each started from its first-occurring vertex."""
+    seen: Set[int] = set()
+    components: List[List[int]] = []
+    for start in adjacency:
+        if start in seen:
+            continue
+        seen.add(start)
+        component, frontier = [start], [start]
+        while frontier:
+            for b in adjacency[frontier.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    component.append(b)
+                    frontier.append(b)
+        components.append(component)
+    return components
+
+
+def _order_from_bags(
+    eliminated: List[Tuple[int, Set[int]]], clique: Set[int], labels: List[str]
+) -> List[str]:
+    """Build the decomposition tree and peel it into an elimination order.
+
+    Bags are created clique first, then one per eliminated vertex from
+    the last eliminated back; each new bag hangs off the first existing
+    bag that holds the vertex's neighbourhood.  Peeling always takes the
+    earliest-created leaf and emits its private vertices in label order.
+    """
+    bags: List[frozenset] = [frozenset(clique)]
+    links: List[Set[int]] = [set()]
+    holders: Dict[int, List[int]] = {v: [0] for v in clique}
+    for vertex, nbrs in reversed(eliminated):
+        # A connected component keeps ``nbrs`` non-empty, and the bag of
+        # its earliest-eliminated member (or the clique) holds all of it.
+        rarest = min(nbrs, key=lambda v: len(holders[v]))
+        parent = next(k for k in holders[rarest] if nbrs <= bags[k])
+        bag = len(bags)
+        bags.append(frozenset(nbrs | {vertex}))
+        links.append({parent})
+        links[parent].add(bag)
+        for v in bags[bag]:
+            holders.setdefault(v, []).append(bag)
+
+    leaves = [k for k, nbr_bags in enumerate(links) if len(nbr_bags) == 1]
+    heapify(leaves)
+    emitted: Set[int] = set()
     order: List[str] = []
-    tree = tree.copy()
-    eliminated: Set[str] = set()
-    while tree.number_of_nodes() > 1:
-        leaf = next(bag for bag in tree.nodes if tree.degree(bag) == 1)
-        parent = next(iter(tree[leaf]))
-        private = [v for v in leaf if v not in parent and v not in eliminated]
-        order.extend(sorted(private))
-        eliminated.update(private)
-        tree.remove_node(leaf)
-    if tree.number_of_nodes() == 1:
-        last_bag = next(iter(tree.nodes))
-        order.extend(sorted(v for v in last_bag if v not in eliminated))
-        eliminated.update(last_bag)
-    # Isolated vertices may not appear in any bag edge traversal.
-    order.extend(sorted(vertices - eliminated))
+    root = 0
+    for _ in range(len(bags) - 1):
+        leaf = heappop(leaves)
+        (root,) = links[leaf]
+        private = [v for v in bags[leaf] if v not in bags[root] and v not in emitted]
+        order.extend(sorted(labels[v] for v in private))
+        emitted.update(private)
+        links[root].discard(leaf)
+        if len(links[root]) == 1:
+            heappush(leaves, root)
+    order.extend(sorted(labels[v] for v in bags[root] if v not in emitted))
     return order
 
 

@@ -326,13 +326,31 @@ def _steps_from_order(
     dims: Dict[str, int],
     order: Sequence[str],
 ) -> List[ContractionStep]:
-    """Simulate the dense engine's merge sequence along ``order``."""
+    """Simulate the dense engine's merge sequence along ``order``.
+
+    Each label merges the two operands holding it, found through a
+    label → operand-id map; ``ids`` tracks the id at each list position.
+    """
     ops: List[Tuple[str, ...]] = list(inputs)
+    ids: List[int] = list(range(len(ops)))
+    holders: Dict[str, Set[int]] = {}
+    for op_id, labs in enumerate(ops):
+        for label in labs:
+            holders.setdefault(label, set()).add(op_id)
     steps: List[ContractionStep] = []
     for label in order:
-        holders = [idx for idx, labs in enumerate(ops) if label in labs]
-        if len(holders) == 2:
-            steps.append(_make_step(ops, holders[0], holders[1], dims))
+        held = holders.get(label, ())
+        if len(held) != 2:
+            continue
+        i, j = sorted(ids.index(op_id) for op_id in held)
+        for lab in ops[i] + ops[j]:
+            holders[lab].difference_update((ids[i], ids[j]))
+        step = _make_step(ops, i, j, dims)
+        steps.append(step)
+        del ids[j], ids[i]
+        ids.append(len(inputs) + len(steps))
+        for lab in step.output:
+            holders[lab].add(ids[-1])
     while len(ops) > 1:  # outer-product disconnected components
         steps.append(_make_step(ops, 0, 1, dims))
     return steps

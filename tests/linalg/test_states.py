@@ -82,6 +82,34 @@ class TestStateFidelity:
             assert -1e-9 <= f <= 1 + 1e-9
 
 
+class TestStateFidelityAgainstSqrtm:
+    """The eigendecomposition route against scipy's ``sqrtm`` formula."""
+
+    @staticmethod
+    def _sqrtm_fidelity(rho, sigma):
+        sqrtm = pytest.importorskip("scipy.linalg").sqrtm
+        root = sqrtm(rho)
+        return float(np.real(np.trace(sqrtm(root @ sigma @ root))) ** 2)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_full_rank_pairs_agree(self, dim, rng):
+        for _ in range(10):
+            rho = random_density_matrix(dim, rng=rng)
+            sigma = random_density_matrix(dim, rng=rng)
+            assert abs(
+                state_fidelity(rho, sigma) - self._sqrtm_fidelity(rho, sigma)
+            ) < 1e-12
+
+    def test_rank_deficient_pairs_agree_loosely(self, rng):
+        # Both methods drift ~1e-8 on singular inputs; assert no tighter.
+        for _ in range(10):
+            rho = random_density_matrix(8, rank=3, rng=rng)
+            sigma = random_density_matrix(8, rank=2, rng=rng)
+            assert abs(
+                state_fidelity(rho, sigma) - self._sqrtm_fidelity(rho, sigma)
+            ) < 1e-6
+
+
 class TestPurity:
     def test_pure(self):
         assert np.isclose(purity(np.array([1, 0])), 1.0)

@@ -50,7 +50,7 @@ class TestInteractionGraph:
     def test_vertices_are_indices(self):
         net = sample_network()
         graph = interaction_graph(net)
-        assert set(graph.nodes) == set(net.all_indices())
+        assert list(graph) == net.all_indices()
 
     def test_cooccurring_indices_connected(self):
         net = sample_network()
@@ -59,7 +59,7 @@ class TestInteractionGraph:
             labels = list(dict.fromkeys(tensor.indices))
             for i, a in enumerate(labels):
                 for b in labels[i + 1:]:
-                    assert graph.has_edge(a, b)
+                    assert b in graph[a] and a in graph[b]
 
 
 class TestTreeDecomposition:
@@ -73,6 +73,41 @@ class TestTreeDecomposition:
         ])
         order = tree_decomposition_order(net)
         assert sorted(order) == ["a", "b", "c", "d"]
+
+    def test_disconnected_order_is_independent_of_hash_seed(self):
+        """A 12-index grid plus a 5-index ring: the small component's
+        order must not follow set iteration order."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "from repro.tensornet import (TensorNetwork, identity_tensor,"
+            " tree_decomposition_order)\n"
+            "tensors = []\n"
+            "for r in range(3):\n"
+            "    for c in range(4):\n"
+            "        if c < 3:\n"
+            "            tensors.append(identity_tensor(f'g{r}{c}', f'g{r}{c + 1}'))\n"
+            "        if r < 2:\n"
+            "            tensors.append(identity_tensor(f'g{r}{c}', f'g{r + 1}{c}'))\n"
+            "for k in range(5):\n"
+            "    tensors.append(identity_tensor(f'c{k}', f'c{(k + 1) % 5}'))\n"
+            "print(tree_decomposition_order(TensorNetwork(tensors)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        orders = set()
+        for hash_seed in ("0", "3"):
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = hash_seed
+            env["PYTHONPATH"] = src
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            orders.add(proc.stdout)
+        assert len(orders) == 1
 
     def test_quality_on_ladder(self):
         """On a QFT trace network the tree order should not be worse than
@@ -102,7 +137,7 @@ def _min_fill_order_reference(network):
     every vertex's fill from scratch each round.
     """
     graph = interaction_graph(network)
-    adjacency = {v: set(graph[v]) for v in graph.nodes}
+    adjacency = {v: set(graph[v]) for v in graph}
     order = []
     while adjacency:
         best, best_key = None, None

@@ -18,7 +18,13 @@ from repro.tensornet import (
     plan_from_order,
     slice_plan,
 )
-from repro.tensornet.planner import _apply_assignment, iter_slice_assignments
+from repro.tensornet.planner import (
+    _apply_assignment,
+    _make_step,
+    _plan_inputs,
+    _steps_from_order,
+    iter_slice_assignments,
+)
 
 
 def qft_network(n=3):
@@ -72,6 +78,56 @@ class TestPlanConstruction:
         assert record["num_steps"] == len(plan.steps)
         assert record["num_slices"] == plan.num_slices()
         assert record["peak_intermediate_size"] <= 8
+
+
+def _steps_from_order_reference(inputs, dims, order):
+    """The operand-scanning simulation the label map replaced."""
+    ops = list(inputs)
+    steps = []
+    for label in order:
+        holders = [idx for idx, labs in enumerate(ops) if label in labs]
+        if len(holders) == 2:
+            steps.append(_make_step(ops, holders[0], holders[1], dims))
+    while len(ops) > 1:
+        steps.append(_make_step(ops, 0, 1, dims))
+    return steps
+
+
+class TestStepsFromOrder:
+    @pytest.mark.parametrize("method", ["sequential", "min_fill", "tree_decomposition"])
+    def test_matches_operand_scan_reference(self, method):
+        from repro.core.miter import alg2_trace_network
+        from repro.noise import insert_random_noise
+
+        ideal = qft(4)
+        networks = [qft_network(4)] + [
+            alg2_trace_network(insert_random_noise(ideal, 3, seed=seed), ideal)
+            for seed in range(3)
+        ]
+        for net in networks:
+            inputs, dims = _plan_inputs(net)
+            order = plan_from_order(net, method=method).order
+            assert _steps_from_order(inputs, dims, order) == (
+                _steps_from_order_reference(inputs, dims, order)
+            )
+
+    def test_disconnected_and_shuffled_orders_match_reference(self):
+        net = TensorNetwork([
+            Tensor(np.ones((2, 2)), ["a", "b"]),
+            Tensor(np.ones((2, 2, 2)), ["b", "c", "d"]),
+            Tensor(np.ones((2, 2)), ["c", "d"]),
+            Tensor(np.ones((2, 2)), ["a", "e"]),
+            Tensor(np.ones((2,)), ["e"]),
+            Tensor(np.ones((2, 2)), ["x", "y"]),
+            Tensor(np.ones((2, 2)), ["y", "x"]),
+        ])
+        inputs, dims = _plan_inputs(net)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            order = list(rng.permutation(net.all_indices()))
+            assert _steps_from_order(inputs, dims, order) == (
+                _steps_from_order_reference(inputs, dims, order)
+            )
 
 
 class TestSlicing:
