@@ -27,9 +27,8 @@ wall-clock time and the ``RunStats`` hit counters.
 
 Since the array-API PR a ``batched`` section compares the two sliced
 execution modes on the finely sliced qft3 row: ``looped``
-(``slice_batch=1``, one einsum sweep per slice — the old behaviour) vs
-``batched`` (auto ``slice_batch``, whole chunks of slices per einsum
-call).  Each row records the effective batch, the number of batched
+(``slice_batch=1``, one kernel sweep per slice) vs ``batched`` (auto
+``slice_batch``, whole chunks of slices per ``matmul`` step).  Each row records the effective batch, the number of batched
 kernel sweeps and the wall clock; the batched row carries its speedup
 over looped, and the einsum speedup is asserted to stay above
 ``MIN_BATCHED_SPEEDUP``.  When torch is installed an ``einsum-torch``

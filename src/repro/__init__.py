@@ -24,8 +24,8 @@ True
 '{"schema_version": "1", "equivalent": true, ...}'
 
 The supported lower layer, for callers already holding circuit
-objects — backend state (TDD computed tables, contraction orders,
-einsum paths) stays warm across pairs:
+objects — backend state (TDD computed tables, contraction plans,
+compiled steps) stays warm across pairs:
 
 >>> from repro import CheckConfig, CheckSession, qft, insert_random_noise
 >>> ideal = qft(5)
@@ -35,11 +35,9 @@ einsum paths) stays warm across pairs:
 ['EQUIVALENT', 'EQUIVALENT']
 
 Contraction engines are pluggable: ``CheckConfig(backend="tdd")`` (the
-paper's Tensor Decision Diagrams), ``"dense"`` (pairwise tensordot) or
-``"einsum"`` (one ``numpy.einsum`` expression with an optimised path);
-register your own via :func:`repro.backends.register_backend`.  The
-kwargs-style :class:`EquivalenceChecker` front end is deprecated (its
-warning names :class:`Engine`) but fully supported — see
+paper's Tensor Decision Diagrams) or ``"dense"``/``"einsum"`` (two names
+for one array backend: each plan step is one compiled ``matmul``);
+register your own via :func:`repro.backends.register_backend`.  See
 ``docs/api.md`` for the migration table and the wire-schema reference.
 """
 
@@ -74,7 +72,6 @@ from .core import (
     CheckError,
     CheckResult,
     CheckSession,
-    EquivalenceChecker,
     FidelityResult,
     approx_equivalent,
     average_fidelity_from_jamiolkowski,
@@ -121,7 +118,6 @@ __all__ = [
     "CircuitSpec",
     "ContractionBackend",
     "Engine",
-    "EquivalenceChecker",
     "FidelityResult",
     "Gate",
     "JobHandle",

@@ -1,14 +1,14 @@
 """Pluggable contraction backends.
 
-The protocol lives in :mod:`repro.backends.base`; five engines ship
-built in and pre-registered:
+The protocol lives in :mod:`repro.backends.base`; two engines ship
+built in, pre-registered under five names:
 
 * ``"tdd"`` — Tensor Decision Diagrams (the paper's engine);
-* ``"dense"`` — pairwise ``np.tensordot`` along the contraction plan,
-  with batched sliced execution;
-* ``"einsum"`` — compiled integer-subscript einsum per plan step on
-  numpy, batched sliced execution by default;
-* ``"einsum-torch"`` / ``"einsum-cupy"`` — the same einsum kernels on
+* ``"dense"`` and ``"einsum"`` — two names for one array backend
+  (:class:`~repro.backends.array.ArrayBackend`): every plan step is
+  lowered once per plan to a permute → reshape → ``matmul`` step on
+  numpy, with batched sliced execution;
+* ``"einsum-torch"`` / ``"einsum-cupy"`` — the same compiled kernel on
   torch tensors (CPU or CUDA) / cupy arrays.  These registry entries
   always exist; when the optional library is missing they are excluded
   from :func:`available_backends`, reported by
@@ -42,8 +42,13 @@ from .base import (
     resolve_backend,
     unregister_backend,
 )
-from .dense import DenseBackend
-from .einsum import CupyEinsumBackend, NumpyEinsumBackend, TorchEinsumBackend
+from .array import (
+    ArrayBackend,
+    CupyEinsumBackend,
+    DenseBackend,
+    NumpyEinsumBackend,
+    TorchEinsumBackend,
+)
 from .tdd import TddBackend
 from .xp import (
     AUTO_SLICE_BATCH_BUDGET,
@@ -68,6 +73,7 @@ register_backend(
 
 __all__ = [
     "AUTO_SLICE_BATCH_BUDGET",
+    "ArrayBackend",
     "ArrayNamespace",
     "ContractionBackend",
     "CupyEinsumBackend",

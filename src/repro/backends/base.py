@@ -11,7 +11,7 @@ Planning and execution are separate layers: every backend *executes* a
 shared :class:`~repro.tensornet.planner.ContractionPlan` (built once per
 network structure by :meth:`ContractionBackend.plan_for` and cached), so
 the same plan object — same pairwise steps, same predicted cost, same
-slicing — drives the TDD, dense and einsum engines alike.
+slicing — drives the TDD and array engines alike.
 
 Backends are *stateful*: an instance may keep contraction plans,
 decision-diagram managers or conversion caches warm across calls.  That is
@@ -26,7 +26,6 @@ import abc
 import math
 import os
 import time
-import warnings
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -169,9 +168,9 @@ class ContractionBackend(abc.ABC):
         How many index-fixed subplans of a sliced plan to contract per
         batched kernel sweep.  ``None`` (the default) auto-sizes against
         :data:`AUTO_SLICE_BATCH_BUDGET` so ``slice_batch × peak
-        intermediate`` stays memory-bounded; ``1`` forces the one-slice-
-        at-a-time reference loop; explicit ``N`` pins the batch (peak
-        memory scales as ``N × max_intermediate_size``).  Only array
+        intermediate`` stays memory-bounded; ``1`` contracts one slice
+        per sweep; explicit ``N`` pins the batch (peak memory scales as
+        ``N × max_intermediate_size``).  Only array
         backends batch (see :attr:`supports_batched_slices`); the TDD
         engine contracts diagrams per slice and documents the knob as
         inert, like ``order_method`` under the greedy planner.
@@ -353,21 +352,6 @@ class ContractionBackend(abc.ABC):
         finally:
             self.planning_seconds_total += time.perf_counter() - started
 
-    def order_for(self, network: TensorNetwork) -> List[str]:
-        """Index elimination order behind the cached plan.
-
-        .. deprecated::
-            Use :meth:`plan_for`; the plan carries the order plus the
-            full pairwise schedule and cost model.
-        """
-        warnings.warn(
-            "ContractionBackend.order_for is deprecated; use plan_for "
-            "(the plan's .order attribute carries the elimination order)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.plan_for(network).order)
-
     def _record_plan(
         self, stats: Optional[ContractionStats], plan: ContractionPlan
     ) -> None:
@@ -434,13 +418,13 @@ class ContractionBackend(abc.ABC):
     def effective_slice_batch(self, plan: ContractionPlan) -> int:
         """How many slices of ``plan`` to contract per batched sweep.
 
-        ``1`` means the per-slice reference loop: unsliced plans,
-        backends without batched kernels, and an explicit
-        ``slice_batch=1`` all land there.  With ``slice_batch=None``
-        the batch auto-sizes so ``batch × peak intermediate`` stays
-        under :data:`~repro.backends.xp.AUTO_SLICE_BATCH_BUDGET`
-        elements (clamped to the slice count — batching never
-        allocates past the work that exists).
+        ``1`` means one slice per sweep: unsliced plans, backends
+        without batched kernels, and an explicit ``slice_batch=1`` all
+        land there.  With ``slice_batch=None`` the batch auto-sizes so
+        ``batch × peak intermediate`` stays under
+        :data:`~repro.backends.xp.AUTO_SLICE_BATCH_BUDGET` elements
+        (clamped to the slice count — batching never allocates past the
+        work that exists).
         """
         if not plan.slices or not self.supports_batched_slices:
             return 1

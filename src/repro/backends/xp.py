@@ -1,13 +1,15 @@
-"""The array-namespace portability layer: one contraction kernel, any array library.
+"""The array-namespace layer: one compiled matmul kernel, any array library.
 
-The dense and einsum backends bottom out in ``einsum`` calls over ndarrays.
-Nothing about those calls is numpy-specific — torch and cupy implement the
-same interleaved integer-sublist ``einsum`` signature, the same advanced
-indexing and the same reductions — so this module abstracts the handful of
-array operations the execution path needs behind an
-:class:`ArrayNamespace`, and the einsum backend becomes generic over it:
-the *same* :class:`~repro.tensornet.planner.ContractionPlan` executes on
-numpy arrays, torch tensors (CPU or CUDA) or cupy arrays.
+Every step of a :class:`~repro.tensornet.planner.ContractionPlan` is a
+pairwise product: permute both operands, view them as matrices, and
+multiply.  This module lowers each step to that form once per plan
+(:func:`compile_plan`, memoised by digest in :func:`compiled_for`) and
+runs it through one chunked executor (:func:`contract_chunks`), against
+an :class:`ArrayNamespace` — numpy by default, torch or cupy for the
+``einsum-torch`` / ``einsum-cupy`` backends.  A namespace needs only a
+permute, a (broadcasting) ``matmul``, a gather and a sum, so the *same*
+compiled plan runs on numpy arrays, torch tensors (CPU or CUDA) or cupy
+arrays.
 
 Design rules:
 
@@ -22,21 +24,12 @@ Design rules:
   (:meth:`ArrayNamespace.sum_scalar`).  Slice gathering happens on-device
   via advanced indexing, so an 8192-slice contraction is still two
   transfers, not 8192.
-
-The module also owns the **compiled-plan + batched execution kernels**
-shared by the einsum and dense backends:
-
-* :func:`compile_plan` precomputes, once per plan, the dense integer
-  einsum subscripts of every step (the per-call label remap the old
-  einsum backend rebuilt for every step of every slice), in both an
-  unbatched and a batch-labelled variant;
-* :func:`contract_slices_looped` executes one slice at a time with the
-  compiled subscripts (the reference slice loop);
-* :func:`contract_slices_batched` stacks a *batch* of slice assignments
-  along a leading batch axis and contracts them with one einsum call per
-  plan step — replacing thousands of per-slice Python-loop contractions
-  with a handful of batched kernels, chunked so
-  ``slice_batch × max_intermediate_size`` still bounds peak memory.
+* **One executor.**  A sliced plan's assignments run in chunks of
+  ``slice_batch``: every slice-varying operand gains a leading batch axis
+  and each plan step is one batched ``matmul`` over the whole chunk.  An
+  unsliced plan is one chunk of one assignment with no batch axis, so it
+  takes the same path.  Peak memory is ``slice_batch ×`` the largest
+  per-slice intermediate, plus the permuted operand copies of one step.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ import abc
 import importlib.util
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,8 +102,9 @@ class ArrayNamespace(abc.ABC):
 
     Operands are opaque to callers: :meth:`from_host` turns a host
     ndarray into whatever the namespace contracts (numpy ndarray, torch
-    tensor, cupy array), :meth:`einsum`/advanced indexing combine them,
-    and :meth:`sum_scalar` is the single device→host exit.
+    tensor, cupy array), :meth:`permute`, ``reshape``, :meth:`matmul`
+    and advanced indexing combine them, and :meth:`sum_scalar` is the
+    single device→host exit.
     """
 
     #: namespace name ("numpy" / "torch" / "cupy")
@@ -132,17 +126,16 @@ class ArrayNamespace(abc.ABC):
         """Integer gather-index array on the device."""
 
     @abc.abstractmethod
-    def einsum(self, *operands_and_subscripts):
-        """Interleaved integer-sublist einsum (the numpy calling form)."""
+    def permute(self, operand, axes: Tuple[int, ...]):
+        """``operand`` with its axes reordered to ``axes``."""
+
+    @abc.abstractmethod
+    def matmul(self, lhs, rhs):
+        """Matrix product, broadcasting over leading batch axes."""
 
     @abc.abstractmethod
     def sum_scalar(self, operand) -> complex:
         """Sum every element and return it as a host complex."""
-
-    @staticmethod
-    def size_of(operand) -> int:
-        """Element count of an operand (works on ndarray/tensor alike)."""
-        return int(math.prod(operand.shape)) if operand.shape else 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(device={self.device!r})"
@@ -168,8 +161,9 @@ class NumpyNamespace(ArrayNamespace):
     def index_array(self, values: Sequence[int]):
         return np.asarray(values, dtype=np.intp)
 
-    def einsum(self, *operands_and_subscripts):
-        return np.asarray(np.einsum(*operands_and_subscripts))
+    # Bound straight to numpy: no Python frame per call on the hot path.
+    permute = staticmethod(np.ndarray.transpose)
+    matmul = staticmethod(np.matmul)
 
     def sum_scalar(self, operand) -> complex:
         return complex(np.sum(operand))
@@ -207,8 +201,11 @@ class TorchNamespace(ArrayNamespace):
             np.asarray(values, dtype=np.int64), device=self.device
         )
 
-    def einsum(self, *operands_and_subscripts):
-        return self._torch.einsum(*operands_and_subscripts)
+    def permute(self, operand, axes):
+        return self._torch.permute(operand, axes)
+
+    def matmul(self, lhs, rhs):
+        return self._torch.matmul(lhs, rhs)
 
     def sum_scalar(self, operand) -> complex:
         return complex(operand.sum().item())
@@ -252,8 +249,11 @@ class CupyNamespace(ArrayNamespace):
         with self._cupy.cuda.Device(self._device_id()):
             return self._cupy.asarray(np.asarray(values, dtype=np.intp))
 
-    def einsum(self, *operands_and_subscripts):
-        return self._cupy.einsum(*operands_and_subscripts)
+    def permute(self, operand, axes):
+        return self._cupy.transpose(operand, axes)
+
+    def matmul(self, lhs, rhs):
+        return self._cupy.matmul(lhs, rhs)
 
     def sum_scalar(self, operand) -> complex:
         return complex(operand.sum().item())
@@ -301,49 +301,67 @@ def resolve_namespace(
 # --- compiled plans ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompiledStep:
-    """One plan step lowered to ready-made einsum integer subscripts.
+class CompiledStep(NamedTuple):
+    """One plan step lowered to permute → reshape → ``matmul``.
 
-    ``subscripts`` is the ``(lhs, rhs, out)`` sublist triple for the
-    per-slice (unbatched) call; ``batched_subscripts`` is the same triple
-    with the reserved batch label ``0`` prepended wherever the operand —
-    or the output — varies across slices.  Both are computed once per
-    plan, replacing the per-call label remap the einsum backend used to
-    rebuild for every step of every slice.
+    The lhs is permuted to ``(kept…, shared…)`` and viewed as an
+    ``(m, k)`` matrix, the rhs to ``(shared…, kept…)`` as ``(k, n)``;
+    their product reshaped to ``out_shape`` is the merged operand, whose
+    axes already follow the step's output labels (lhs survivors, then rhs
+    survivors), so no output transpose is needed.  An operand that varies
+    per slice carries a leading batch axis: its permutation keeps axis 0
+    first, its matrix shape gains a ``-1`` batch dimension, and
+    ``matmul`` broadcasts a one-sided batch.  ``None`` axes mark an
+    identity permutation, which is skipped.
     """
 
     lhs: int
     rhs: int
-    subscripts: Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
-    batched_subscripts: Tuple[
-        Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]
-    ]
-    out_batched: bool
-    #: per-slice element count of the merged operand (the plan estimate)
-    output_size: int
+    lhs_axes: Optional[Tuple[int, ...]]
+    rhs_axes: Optional[Tuple[int, ...]]
+    lhs_shape: Tuple[int, ...]
+    rhs_shape: Tuple[int, ...]
+    out_shape: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """A :class:`ContractionPlan` lowered for the array-API kernels."""
+    """A :class:`ContractionPlan` lowered for :func:`contract_chunks`."""
 
     steps: Tuple[CompiledStep, ...]
-    #: whether each input tensor carries a sliced label (varies per slice)
-    input_batched: Tuple[bool, ...]
+    #: whether the final operand varies per slice (carries a batch axis)
+    out_batched: bool
+    #: per-slice rank and element count of the largest intermediate
+    peak_rank: int
+    peak_size: int
+
+
+def _lower(
+    axes: List[int], rows: int, cols: int, batched: bool
+) -> Tuple[Optional[Tuple[int, ...]], Tuple[int, ...]]:
+    """One operand's permutation (``None`` if identity) and matrix
+    shape, with the batch axis leading when ``batched``."""
+    if batched:
+        axes = [0] + [ax + 1 for ax in axes]
+    identity = axes == list(range(len(axes)))
+    return (
+        None if identity else tuple(axes),
+        (-1, rows, cols) if batched else (rows, cols),
+    )
 
 
 def compile_plan(plan: ContractionPlan) -> CompiledPlan:
-    """Lower a plan's steps to integer einsum subscripts, once.
+    """Lower every step of ``plan`` to a permute/reshape/matmul triple.
 
-    Labels are remapped to a dense integer range *per step* (so the
-    global index count never hits the 52-symbol einsum alphabet), with
-    ``0`` reserved for the batch axis of
-    :func:`contract_slices_batched`.  Backends memoise the result by
-    :meth:`ContractionPlan.digest`, so Algorithm I's thousands of
-    structurally identical contractions — and all 8192 slices of a
-    sliced plan — pay the lowering exactly once.
+    Sliced labels are fixed per slice, so they vanish from every operand;
+    operands that carried one vary per slice and are lowered with a
+    leading batch axis.  The kept labels come in the step's output order
+    and the shared ones in lhs order.  Backends memoise the result by
+    :meth:`ContractionPlan.digest` (:func:`compiled_for`), so Algorithm
+    I's thousands of structurally identical contractions — and every
+    slice of a sliced plan — pay the lowering once.
     """
+    dims = plan.dims
     sliced = set(plan.slices)
     ops: List[Tuple[str, ...]] = [
         tuple(lab for lab in labs if lab not in sliced)
@@ -352,36 +370,43 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
     batched: List[bool] = [
         any(lab in sliced for lab in labs) for labs in plan.inputs
     ]
-    input_batched = tuple(batched)
     steps: List[CompiledStep] = []
     for step in plan.steps:
         a, b = ops[step.lhs], ops[step.rhs]
+        output = step.output
+        split = len(a) - len(step.eliminated)
+        shared = [lab for lab in a if lab in step.eliminated]
+        out_shape = tuple([dims[lab] for lab in output])
+        m = math.prod(out_shape[:split])
+        n = math.prod(out_shape[split:])
+        k = math.prod([dims[lab] for lab in shared])
         a_batched, b_batched = batched[step.lhs], batched[step.rhs]
-        mapping: Dict[str, int] = {}
-        for label in a + b:
-            mapping.setdefault(label, len(mapping) + 1)  # 0 = batch axis
-        lhs_subs = tuple(mapping[lab] for lab in a)
-        rhs_subs = tuple(mapping[lab] for lab in b)
-        out_subs = tuple(mapping[lab] for lab in step.output)
+        # A step whose output is not lhs survivors then rhs survivors
+        # fails in tuple.index or in the first permute, never silently.
+        lhs_axes, lhs_shape = _lower(
+            [a.index(lab) for lab in (*output[:split], *shared)],
+            m, k, a_batched,
+        )
+        rhs_axes, rhs_shape = _lower(
+            [b.index(lab) for lab in (*shared, *output[split:])],
+            k, n, b_batched,
+        )
         out_batched = a_batched or b_batched
         steps.append(CompiledStep(
-            lhs=step.lhs,
-            rhs=step.rhs,
-            subscripts=(lhs_subs, rhs_subs, out_subs),
-            batched_subscripts=(
-                (0,) + lhs_subs if a_batched else lhs_subs,
-                (0,) + rhs_subs if b_batched else rhs_subs,
-                (0,) + out_subs if out_batched else out_subs,
-            ),
-            out_batched=out_batched,
-            output_size=step.output_size,
+            step.lhs, step.rhs, lhs_axes, rhs_axes, lhs_shape, rhs_shape,
+            (-1,) + out_shape if out_batched else out_shape,
         ))
         for seq in (ops, batched):
             del seq[step.rhs]
             del seq[step.lhs]
-        ops.append(step.output)
+        ops.append(output)
         batched.append(out_batched)
-    return CompiledPlan(steps=tuple(steps), input_batched=input_batched)
+    return CompiledPlan(
+        steps=tuple(steps),
+        out_batched=any(batched),  # one operand is left
+        peak_rank=plan.width(),
+        peak_size=plan.peak_size() if plan.steps else 0,
+    )
 
 
 #: Process-wide compiled-plan memo, keyed by
@@ -406,111 +431,68 @@ def compiled_for(plan: ContractionPlan) -> CompiledPlan:
     return compiled
 
 
-# --- execution kernels ------------------------------------------------------
+# --- the executor -----------------------------------------------------------
 
 
-def _observe(
-    stats: Optional[ContractionStats], rank: int, size: int
-) -> None:
-    if stats is None:
-        return
-    stats.num_pairwise_contractions += 1
-    stats.max_intermediate_rank = max(stats.max_intermediate_rank, rank)
-    stats.max_intermediate_size = max(stats.max_intermediate_size, size)
-
-
-def contract_slices_looped(
+def contract_chunks(
     xp: ArrayNamespace,
-    plan: ContractionPlan,
-    compiled: CompiledPlan,
-    applier,
-    assignments,
-    stats: Optional[ContractionStats] = None,
-) -> complex:
-    """Reference slice loop over precompiled subscripts.
-
-    ``applier`` is a :class:`~repro.tensornet.planner.SliceApplier`; each
-    assignment fixes the sliced axes on the host, the operands move to
-    the device, and one einsum per step contracts them.
-    """
-    total = 0j
-    # One span for the whole loop, not one per assignment: Algorithm I
-    # calls this once per trace term, thousands of times per check.
-    with _trace.span("slices.loop") as loop_span:
-        loop_span.set(slices=len(assignments), device=str(xp.device))
-        for assignment in assignments:
-            ops = [xp.from_host(t.data) for t in applier(assignment)]
-            for cstep in compiled.steps:
-                a, b = ops[cstep.lhs], ops[cstep.rhs]
-                del ops[cstep.rhs]
-                del ops[cstep.lhs]
-                lhs_subs, rhs_subs, out_subs = cstep.subscripts
-                merged = xp.einsum(
-                    a, list(lhs_subs), b, list(rhs_subs), list(out_subs)
-                )
-                _observe(stats, len(out_subs), xp.size_of(merged))
-                ops.append(merged)
-            total += xp.sum_scalar(ops[0])
-    return total
-
-
-def contract_slices_batched(
-    xp: ArrayNamespace,
-    plan: ContractionPlan,
     compiled: CompiledPlan,
     applier: BatchedSliceApplier,
     assignments: Sequence[Dict[str, int]],
     slice_batch: int,
     stats: Optional[ContractionStats] = None,
 ) -> complex:
-    """Contract slice assignments in batches of ``slice_batch``.
+    """Contract slice assignments in chunks of ``slice_batch``.
 
-    Each batch gathers every slice-varying tensor along a leading batch
+    Each chunk gathers every slice-varying tensor along a leading batch
     axis (one advanced-indexing gather per tensor, on-device) and runs
-    one einsum per plan step with the shared batch label — so a chunk of
-    B slices costs ``len(plan.steps)`` kernels instead of
-    ``B × len(plan.steps)`` Python-level contractions.  Partial sums
-    accumulate in assignment order (ragged final batches included), so
-    the result agrees with the looped reference to float association.
+    one ``matmul`` per plan step over the whole chunk — so a chunk of B
+    slices costs ``len(plan.steps)`` kernels instead of
+    ``B × len(plan.steps)``.  An unsliced plan is one chunk of its one
+    (empty) assignment.  Partial sums accumulate in assignment order.
 
-    Peak memory is ``slice_batch × max`` per-slice intermediate — the
-    bound callers pick ``slice_batch`` against.
+    ``stats`` keep per-slice semantics: the intermediate rank and size
+    are per-slice figures (the slicing bound and ``plan.peak_size()``
+    are), and ``batched_slice_calls`` counts chunks only when more than
+    one slice can share a chunk.
     """
     if slice_batch < 1:
         raise ValueError("slice_batch must be at least 1")
+    permute, matmul = xp.permute, xp.matmul
     total = 0j
-    n = len(assignments)
-    for start in range(0, n, slice_batch):
+    chunks = 0
+    for start in range(0, len(assignments), slice_batch):
         chunk = assignments[start:start + slice_batch]
+        chunks += 1
         with _trace.span("slices.chunk") as chunk_span:
             chunk_span.set(slices=len(chunk), device=str(xp.device))
             with _trace.span("slices.transfer"):
                 ops = applier.gather(xp, chunk)
-            for cstep in compiled.steps:
-                a, b = ops[cstep.lhs], ops[cstep.rhs]
-                del ops[cstep.rhs]
-                del ops[cstep.lhs]
-                lhs_subs, rhs_subs, out_subs = cstep.batched_subscripts
-                merged = xp.einsum(
-                    a, list(lhs_subs), b, list(rhs_subs), list(out_subs)
-                )
-                # Stats keep their established *per-slice* semantics (the
-                # slicing bound and plan.peak_size() are per-slice figures):
-                # divide the batch axis back out and drop its rank.  The
-                # batch memory multiplier is visible via slice_batch and
-                # batched_slice_calls.
-                size = xp.size_of(merged)
-                if cstep.out_batched:
-                    size //= len(chunk)
-                _observe(stats, len(cstep.subscripts[2]), size)
-                ops.append(merged)
+            for (lhs, rhs, lhs_axes, rhs_axes,
+                 lhs_shape, rhs_shape, out_shape) in compiled.steps:
+                a, b = ops[lhs], ops[rhs]
+                del ops[rhs]
+                del ops[lhs]
+                if lhs_axes is not None:
+                    a = permute(a, lhs_axes)
+                if rhs_axes is not None:
+                    b = permute(b, rhs_axes)
+                merged = matmul(a.reshape(lhs_shape), b.reshape(rhs_shape))
+                ops.append(merged.reshape(out_shape))
             value = xp.sum_scalar(ops[0])
-            if compiled.steps and not compiled.steps[-1].out_batched:
-                # Unreachable for circuit networks (a sliced label always
-                # reaches the final merge), kept for plan generality: an
-                # unbatched final operand contributes once per slice.
+            if not compiled.out_batched:
+                # No batch axis left (every unsliced plan, whose chunk is
+                # one slice): the value is the same for each slice.
                 value *= len(chunk)
             total += value
-        if stats is not None:
-            stats.batched_slice_calls += 1
+    if stats is not None:
+        stats.num_pairwise_contractions += chunks * len(compiled.steps)
+        stats.max_intermediate_rank = max(
+            stats.max_intermediate_rank, compiled.peak_rank
+        )
+        stats.max_intermediate_size = max(
+            stats.max_intermediate_size, compiled.peak_size
+        )
+        if slice_batch > 1 and len(assignments) > 1:
+            stats.batched_slice_calls += chunks
     return total

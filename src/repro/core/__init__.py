@@ -2,13 +2,13 @@
 
 from .algorithm1 import enumerate_selections, fidelity_individual
 from .algorithm2 import fidelity_collective
-from .checker import (
+from .session import (
     AUTO_ALG1_MAX_NOISES,
-    EquivalenceChecker,
+    CheckConfig,
+    CheckSession,
     approx_equivalent,
     jamiolkowski_fidelity,
 )
-from .session import CheckConfig, CheckSession
 from .jamiolkowski import (
     average_fidelity_from_jamiolkowski,
     fidelity_from_traces,
@@ -51,7 +51,6 @@ __all__ = [
     "CheckError",
     "CheckResult",
     "CheckSession",
-    "EquivalenceChecker",
     "FidelityResult",
     "RunStats",
     "StatsAggregator",

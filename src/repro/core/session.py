@@ -2,8 +2,8 @@
 
 One :class:`CheckSession` owns a configured contraction backend and reuses
 it across many equivalence checks, so batch workloads amortise backend
-setup — warm TDD computed tables, cached contraction orders and einsum
-paths — over every circuit pair, the way DAC-style decoders amortise
+setup — warm TDD computed tables, cached contraction plans and compiled
+plan steps — over every circuit pair, the way DAC-style decoders amortise
 per-codeword work across blocks.
 
 Quick start
@@ -58,10 +58,8 @@ RUN_MODES = ("check", "fidelity")
 class CheckConfig:
     """Frozen configuration of an equivalence-checking run.
 
-    Replaces the loose kwargs previously threaded through
-    ``EquivalenceChecker`` → ``algorithm1``/``algorithm2``.  All values are
-    validated at construction, so typos fail immediately rather than deep
-    inside a contraction loop.
+    All values are validated at construction, so typos fail immediately
+    rather than deep inside a contraction loop.
     """
 
     #: error threshold of the epsilon-equivalence decision
@@ -110,7 +108,7 @@ class CheckConfig:
     #: i.e. the host CPU; 'cuda'/'cuda:N' need einsum-torch/einsum-cupy)
     device: Optional[str] = None
     #: slices contracted per batched kernel sweep (None = auto-size
-    #: against the memory budget, 1 = per-slice reference loop)
+    #: against the memory budget, 1 = one slice per sweep)
     slice_batch: Optional[int] = None
     #: wall-clock budget for the search planners (None = their default;
     #: 0 = heuristic baseline only; ignored by 'order'/'greedy')
@@ -270,8 +268,8 @@ class CheckSession:
     The backend instance is created lazily on first use and kept for the
     session's lifetime, so consecutive :meth:`check` calls — and the whole
     of :meth:`check_many` — reuse warm contraction state (one
-    :class:`~repro.tdd.TddManager`, cached elimination orders, cached
-    einsum paths).
+    :class:`~repro.tdd.TddManager`, cached contraction plans, compiled
+    plan steps).
 
     Accepts a :class:`CheckConfig`, keyword overrides, or both::
 
@@ -642,3 +640,31 @@ class CheckSession:
         )
         result.stats.plan_trials = backend.plan_trials_total - trials_before
         return result
+
+
+def approx_equivalent(
+    ideal: QuantumCircuit,
+    noisy: QuantumCircuit,
+    epsilon: float,
+    algorithm: str = "auto",
+    **kwargs,
+) -> bool:
+    """One-shot convenience wrapper around :class:`CheckSession`."""
+    session = CheckSession(epsilon=epsilon, algorithm=algorithm, **kwargs)
+    return session.check(ideal, noisy).equivalent
+
+
+def jamiolkowski_fidelity(
+    noisy: QuantumCircuit,
+    ideal: QuantumCircuit,
+    algorithm: str = "alg2",
+    **kwargs,
+) -> float:
+    """Compute ``F_J`` with the chosen algorithm ('alg1', 'alg2', 'dense')."""
+    if algorithm == "alg1":
+        return fidelity_individual(noisy, ideal, **kwargs).fidelity
+    if algorithm == "alg2":
+        return fidelity_collective(noisy, ideal, **kwargs).fidelity
+    if algorithm == "dense":
+        return jamiolkowski_fidelity_dense(noisy, ideal, **kwargs)
+    raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -48,7 +48,7 @@ class RunStats:
     slice_count: int = 0
     #: device the backend's numerics ran on ("" = not recorded)
     device: str = ""
-    #: batched einsum sweeps over slice chunks (0 = looped or unsliced)
+    #: batched kernel sweeps over slice chunks (0 = one slice per sweep)
     batched_slice_calls: int = 0
     #: plan_for calls served from the plan cache without planning
     #: (0 whenever caching is disabled)

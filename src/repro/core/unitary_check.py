@@ -55,7 +55,7 @@ def check_unitary_equivalence(
     if not (circuit_a.is_unitary_circuit and circuit_b.is_unitary_circuit):
         raise ValueError(
             "exact checking needs noiseless circuits; use "
-            "EquivalenceChecker for noisy ones"
+            "CheckSession for noisy ones"
         )
     stats = RunStats(algorithm="unitary_miter")
     start = time.perf_counter()

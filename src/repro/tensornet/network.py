@@ -30,7 +30,7 @@ class ContractionStats:
     predicted_peak_size: int = 0
     #: number of index-fixed subplan executions (1 = unsliced)
     slice_count: int = 0
-    #: batched einsum sweeps over slice chunks (0 = looped or unsliced)
+    #: batched kernel sweeps over slice chunks (0 = one slice per sweep)
     batched_slice_calls: int = 0
     extra: dict = field(default_factory=dict)
 

@@ -6,7 +6,7 @@ pairwise :class:`ContractionStep`\\ s carrying the eliminated index set,
 the output index tuple and per-step flop / intermediate-size estimates.
 Every :class:`~repro.backends.base.ContractionBackend` executes the same
 plan object — the TDD engine contracts decision diagrams along it, the
-dense and einsum engines contract ndarrays along it — so planning cost is
+array backend contracts ndarrays along it — so planning cost is
 paid once per network structure and plan quality is measurable before any
 numerics run.
 
@@ -111,7 +111,7 @@ class ContractionPlan:
     dims: Dict[str, int] = field(hash=False)
     steps: Tuple[ContractionStep, ...]
     #: global elimination order behind the plan (feeds the TDD manager's
-    #: variable order and the deprecated ``order_for`` shim)
+    #: variable order)
     order: Tuple[str, ...]
     #: labels fixed-and-summed outside the plan (empty = unsliced)
     slices: Tuple[str, ...] = ()
@@ -163,7 +163,7 @@ class ContractionPlan:
         """Content digest of the plan's executable structure.
 
         The memo key backends use for per-plan lowered forms (compiled
-        einsum subscripts, batch layouts): two plans with the same
+        matmul steps, batch layouts): two plans with the same
         inputs, dims, steps and slices share a digest, whatever network
         object they were built from.  Computed once and cached on the
         instance (plans are frozen; the cache rides along through
@@ -622,7 +622,7 @@ class BatchedSliceApplier:
     one operand set per *chunk* of assignments, where every
     slice-varying tensor gains a leading batch axis of length
     ``len(chunk)`` and slice-independent tensors pass through unchanged
-    (einsum broadcasting mixes the two freely).
+    (``matmul`` broadcasting mixes the two freely).
 
     All assignment-independent work happens once at construction:
     self-tracing, finding which tensors carry sliced axes, and
@@ -636,23 +636,21 @@ class BatchedSliceApplier:
 
     def __init__(self, tensors: Sequence[Tensor], slices: Sequence[str]):
         sliced = set(slices)
-        #: per tensor: (host base array, sliced-label order or None,
-        #: surviving labels)
-        self._layout: List[Tuple[np.ndarray, Optional[List[str]],
-                                 List[str]]] = []
+        #: per tensor: (host base array, its sliced labels in leading-axis
+        #: order, or None when the tensor does not vary per slice)
+        self._layout: List[Tuple[np.ndarray, Optional[List[str]]]] = []
         for tensor in (t.self_trace() for t in tensors):
-            positions = [
+            positions = sliced and [
                 ax for ax, lab in enumerate(tensor.indices) if lab in sliced
             ]
-            kept = [lab for lab in tensor.indices if lab not in sliced]
             if not positions:
-                self._layout.append((tensor.data, None, kept))
+                self._layout.append((tensor.data, None))
                 continue
             labels = [tensor.indices[ax] for ax in positions]
             moved = np.ascontiguousarray(np.moveaxis(
                 tensor.data, positions, range(len(positions))
             ))
-            self._layout.append((moved, labels, kept))
+            self._layout.append((moved, labels))
         self._device_xp = None
         self._device_ops: List[object] = []
 
@@ -664,11 +662,11 @@ class BatchedSliceApplier:
         """
         if self._device_xp is not xp:
             self._device_ops = [
-                xp.from_host(data) for data, _, _ in self._layout
+                xp.from_host(data) for data, _ in self._layout
             ]
             self._device_xp = xp
         operands: List[object] = []
-        for base, (_, labels, _) in zip(self._device_ops, self._layout):
+        for base, (_, labels) in zip(self._device_ops, self._layout):
             if labels is None:
                 operands.append(base)
                 continue
@@ -685,9 +683,11 @@ def execute_plan(
 ) -> complex:
     """Drive a plan over a network with backend-supplied callbacks.
 
-    The one place that owns the step-position protocol (remove rhs then
-    lhs, append the merged operand) and the slice-summation loop, so the
-    three engines cannot drift apart on it.
+    Owns the step-position protocol (remove rhs then lhs, append the
+    merged operand) and the one-slice-at-a-time summation loop for
+    engines whose operands are not arrays (the TDD backend).  With
+    :meth:`Tensor.contract` as ``merge`` it is also the tensordot
+    reference the array backend is tested against.
 
     Parameters
     ----------

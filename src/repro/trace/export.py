@@ -47,7 +47,6 @@ PHASE_BY_SPAN = {
     "plan.compile": "compile",
     "slices.dispatch": "execute",
     "slices.chunk": "execute",
-    "slices.loop": "execute",
     "slices.worker": "execute",
     "slices.remote.dispatch": "execute",
     "cache.remote.get": "cache",

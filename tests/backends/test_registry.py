@@ -15,7 +15,7 @@ from repro.backends import (
     unregister_backend,
 )
 from repro.core import (
-    EquivalenceChecker,
+    CheckSession,
     fidelity_collective,
     fidelity_individual,
     jamiolkowski_fidelity_dense,
@@ -95,7 +95,7 @@ class TestCustomBackend:
         try:
             ideal = qft(2)
             noisy = insert_random_noise(ideal, 1, seed=0)
-            out = EquivalenceChecker(
+            out = CheckSession(
                 epsilon=0.05, backend="counting-dense"
             ).check(ideal, noisy)
             assert out.equivalent

@@ -6,13 +6,12 @@ Three concerns, mirroring the layers of :mod:`repro.backends.xp`:
   registry entries for torch/cupy backends always exist, and a missing
   library surfaces as :class:`MissingDependencyError` at construction,
   never as an import error at ``import repro.backends`` time;
-* **compiled plans** — subscripts are lowered once per plan digest and
-  memoised process-wide (the per-call label remap fix);
+* **compiled plans** — each step is lowered once per plan digest to a
+  permute/reshape/matmul triple and memoised process-wide;
 * **batched == looped == unsliced** — property tests pin the batched
-  kernel to the reference loop and to the unsliced contraction within
-  1e-9 on every backend, including ragged final chunks
-  (``num_slices % slice_batch != 0``) and the ``slice_batch=1``
-  degenerate chunking.
+  kernel, the one-slice-per-chunk sweep and the unsliced contraction
+  to the ``Tensor.contract`` oracle within 1e-9, including ragged final
+  chunks (``num_slices % slice_batch != 0``).
 """
 
 import subprocess
@@ -46,6 +45,8 @@ from repro.core.session import CheckConfig
 from repro.library import qft
 from repro.noise import depolarizing, insert_random_noise
 from repro.tensornet import Tensor, TensorNetwork, build_plan
+
+from oracle import tensordot_reference
 
 TORCH_MISSING = namespace_available("torch")
 
@@ -172,19 +173,53 @@ def _tiny_sliced_plan():
 
 
 class TestCompiledPlans:
-    def test_batch_label_reserved(self):
+    def test_batched_operands_keep_the_batch_axis_first(self):
         _, plan = _tiny_sliced_plan()
         compiled = compile_plan(plan)
-        assert any(compiled.input_batched)
+        assert compiled.out_batched
         for cstep in compiled.steps:
-            for subs in cstep.subscripts:
-                assert 0 not in subs
-            lhs, rhs, out = cstep.batched_subscripts
-            assert (0 in lhs or 0 in rhs) == cstep.out_batched or (
-                not cstep.out_batched
+            for axes, shape in (
+                (cstep.lhs_axes, cstep.lhs_shape),
+                (cstep.rhs_axes, cstep.rhs_shape),
+            ):
+                assert len(shape) in (2, 3)
+                if len(shape) == 3:  # batched: (-1, rows, cols)
+                    assert shape[0] == -1
+                    assert axes is None or axes[0] == 0
+            assert (cstep.out_shape[:1] == (-1,)) == (
+                len(cstep.lhs_shape) == 3 or len(cstep.rhs_shape) == 3
             )
-            if cstep.out_batched:
-                assert out[0] == 0
+
+    def test_unsliced_plan_has_no_batch_axis(self):
+        network, _ = _tiny_sliced_plan()
+        compiled = compile_plan(build_plan(network))
+        assert not compiled.out_batched
+        for cstep in compiled.steps:
+            assert len(cstep.lhs_shape) == len(cstep.rhs_shape) == 2
+            assert -1 not in cstep.out_shape
+
+    def test_step_matrices_match_the_plan(self):
+        network, _ = _tiny_sliced_plan()
+        plan = build_plan(network)
+        compiled = compile_plan(plan)
+        assert compiled.peak_size == plan.peak_size()
+        for cstep, step in zip(compiled.steps, plan.steps):
+            m, k = cstep.lhs_shape
+            k2, n = cstep.rhs_shape
+            assert k == k2
+            assert m * n == step.output_size
+            assert m * k * n == step.flops
+
+    def test_step_output_not_lhs_then_rhs_is_rejected(self):
+        import dataclasses
+
+        network, _ = _tiny_sliced_plan()
+        plan = build_plan(network)
+        first = plan.steps[0]
+        swapped = dataclasses.replace(first, output=first.output[::-1])
+        bad = dataclasses.replace(plan, steps=(swapped,) + plan.steps[1:])
+        with pytest.raises(ValueError):
+            compile_plan(bad)
 
     def test_compiled_for_memoises_by_digest(self):
         _, plan = _tiny_sliced_plan()
@@ -198,7 +233,7 @@ class TestCompiledPlans:
         backend = NumpyEinsumBackend(max_intermediate_size=4)
         value = backend.contract_scalar(network, plan=plan)
         assert compiled_for(plan) is compiled_for(plan)
-        ref = DenseBackend().contract_scalar(network)
+        ref = tensordot_reference(network)
         assert abs(value - ref) < 1e-9
 
 
@@ -280,7 +315,7 @@ class TestBatchedAgreesWithLooped:
         bound=st.sampled_from([2, 4, 16]),
     )
     def test_property(self, network, backend_cls, slice_batch, bound):
-        reference = DenseBackend().contract_scalar(network)
+        reference = tensordot_reference(network)
         scale = max(1.0, abs(reference))
         looped = backend_cls(
             max_intermediate_size=bound, slice_batch=1
@@ -316,7 +351,7 @@ class TestBatchedAgreesWithLooped:
 
     def test_oversized_slice_batch_is_one_chunk(self):
         network, plan = _tiny_sliced_plan()
-        ref = DenseBackend().contract_scalar(network)
+        ref = tensordot_reference(network)
         value = NumpyEinsumBackend(
             max_intermediate_size=4, slice_batch=10**6
         ).contract_scalar(network)
@@ -355,7 +390,8 @@ def _install_fake_torch(monkeypatch):
     fake.device = _Device
     fake.cuda = types.SimpleNamespace(is_available=lambda: False)
     fake.as_tensor = lambda array, device=None: np.asarray(array)
-    fake.einsum = np.einsum
+    fake.matmul = np.matmul
+    fake.permute = np.transpose
     monkeypatch.setitem(sys.modules, "torch", fake)
     return fake
 
@@ -364,7 +400,7 @@ class TestTorchBackend:
     def test_fake_torch_drives_batched_contraction(self, monkeypatch):
         _install_fake_torch(monkeypatch)
         network, _ = _tiny_sliced_plan()
-        ref = DenseBackend().contract_scalar(network)
+        ref = tensordot_reference(network)
         backend = TorchEinsumBackend(max_intermediate_size=4, slice_batch=3)
         assert backend.name == "einsum-torch"
         assert backend.resolved_device == "cpu"

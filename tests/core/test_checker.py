@@ -1,19 +1,15 @@
-"""Unit tests for the EquivalenceChecker front end."""
+"""Unit tests for the checking front end: CheckSession dispatch and checks."""
 
 import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
-from repro.core import EquivalenceChecker, approx_equivalent, jamiolkowski_fidelity
+from repro.core import CheckSession, approx_equivalent, jamiolkowski_fidelity
 from repro.library import qft
 from repro.noise import bit_flip, depolarizing, insert_random_noise
 
 
-class TestDeprecation:
-    def test_construction_warns_and_names_engine(self):
-        with pytest.warns(DeprecationWarning, match="repro.Engine"):
-            EquivalenceChecker()
-
+class TestValidation:
     def test_validation_errors_name_the_choices(self):
         """Satellite: every config validation error lists valid values."""
         from repro.backends.base import resolve_backend
@@ -37,34 +33,34 @@ class TestDeprecation:
 
 class TestDispatch:
     def test_auto_prefers_alg1_for_few_noises(self):
-        checker = EquivalenceChecker()
+        session = CheckSession()
         noisy = insert_random_noise(qft(3), 1, seed=0)
-        assert checker.select_algorithm(noisy) == "alg1"
+        assert session.select_algorithm(noisy) == "alg1"
 
     def test_auto_prefers_alg2_for_many_noises(self):
-        checker = EquivalenceChecker()
+        session = CheckSession()
         noisy = insert_random_noise(qft(3), 6, seed=0)
-        assert checker.select_algorithm(noisy) == "alg2"
+        assert session.select_algorithm(noisy) == "alg2"
 
     def test_explicit_algorithm_respected(self):
-        checker = EquivalenceChecker(algorithm="alg2")
+        session = CheckSession(algorithm="alg2")
         noisy = insert_random_noise(qft(3), 1, seed=0)
-        assert checker.select_algorithm(noisy) == "alg2"
+        assert session.select_algorithm(noisy) == "alg2"
 
     def test_invalid_algorithm(self):
         with pytest.raises(ValueError):
-            EquivalenceChecker(algorithm="bogus")
+            CheckSession(algorithm="bogus")
 
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
-            EquivalenceChecker(epsilon=-0.1)
+            CheckSession(epsilon=-0.1)
 
 
 class TestCheck:
     def test_equivalent_small_noise(self):
         ideal = qft(3)
         noisy = insert_random_noise(ideal, 2, seed=1)  # p = 0.999
-        out = EquivalenceChecker(epsilon=0.01).check(ideal, noisy)
+        out = CheckSession(epsilon=0.01).check(ideal, noisy)
         assert out.equivalent
         assert out.fidelity > 0.99
 
@@ -73,7 +69,7 @@ class TestCheck:
         noisy = insert_random_noise(
             ideal, 3, channel_factory=lambda: depolarizing(0.5), seed=1
         )
-        out = EquivalenceChecker(epsilon=0.01, algorithm="alg2").check(
+        out = CheckSession(epsilon=0.01, algorithm="alg2").check(
             ideal, noisy
         )
         assert not out.equivalent
@@ -85,7 +81,7 @@ class TestCheck:
         )
         verdicts = set()
         for algorithm in ("alg1", "alg2", "dense"):
-            out = EquivalenceChecker(
+            out = CheckSession(
                 epsilon=0.3, algorithm=algorithm
             ).check(ideal, noisy)
             verdicts.add(out.equivalent)
@@ -93,13 +89,13 @@ class TestCheck:
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            EquivalenceChecker().check(QuantumCircuit(1), QuantumCircuit(2))
+            CheckSession().check(QuantumCircuit(1), QuantumCircuit(2))
 
     def test_noisy_ideal_rejected(self):
         ideal = QuantumCircuit(1)
         ideal.append(bit_flip(0.9), [0])
         with pytest.raises(ValueError):
-            EquivalenceChecker().check(ideal, ideal)
+            CheckSession().check(ideal, ideal)
 
     def test_negative_with_truncation_carries_note(self):
         # A non-equivalent instance where alg1 truncates: the result notes
@@ -108,14 +104,14 @@ class TestCheck:
         noisy = insert_random_noise(
             ideal, 2, channel_factory=lambda: depolarizing(0.6), seed=2
         )
-        checker = EquivalenceChecker(epsilon=0.001, algorithm="alg1")
-        out = checker.check(ideal, noisy)
+        session = CheckSession(epsilon=0.001, algorithm="alg1")
+        out = session.check(ideal, noisy)
         assert not out.equivalent
 
     def test_result_fields_populated(self):
         ideal = qft(2)
         noisy = insert_random_noise(ideal, 1, seed=0)
-        out = EquivalenceChecker(epsilon=0.05).check(ideal, noisy)
+        out = CheckSession(epsilon=0.05).check(ideal, noisy)
         assert out.algorithm in ("alg1", "alg2")
         assert out.epsilon == 0.05
         assert out.stats.time_seconds >= 0

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    EquivalenceChecker,
+    CheckSession,
     alg2_trace_network,
     fidelity_collective,
     fidelity_individual,
@@ -75,12 +75,12 @@ class TestExample5:
 
     def test_checker_accepts(self, qft2_ideal):
         noisy = make_noisy_qft2(0.95)
-        out = EquivalenceChecker(epsilon=0.1).check(qft2_ideal, noisy)
+        out = CheckSession(epsilon=0.1).check(qft2_ideal, noisy)
         assert out.equivalent
 
     def test_checker_rejects_large_error(self, qft2_ideal):
         noisy = make_noisy_qft2(0.5)  # F_J = 0.25
-        out = EquivalenceChecker(epsilon=0.1, algorithm="alg2").check(
+        out = CheckSession(epsilon=0.1, algorithm="alg2").check(
             qft2_ideal, noisy
         )
         assert not out.equivalent

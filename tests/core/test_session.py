@@ -9,7 +9,6 @@ from repro.backends import DenseBackend
 from repro.core import (
     CheckConfig,
     CheckSession,
-    EquivalenceChecker,
     jamiolkowski_fidelity_dense,
 )
 from repro.library import qft
@@ -110,10 +109,10 @@ class TestCheckSession:
         session = CheckSession(CheckConfig(epsilon=0.01), epsilon=0.2)
         assert session.config.epsilon == 0.2
 
-    def test_check_matches_legacy_checker(self):
+    def test_check_matches_keyword_construction(self):
         ideal, noisy = make_pairs(1)[0]
         new = CheckSession(CheckConfig(epsilon=0.05)).check(ideal, noisy)
-        old = EquivalenceChecker(epsilon=0.05).check(ideal, noisy)
+        old = CheckSession(epsilon=0.05).check(ideal, noisy)
         assert new.equivalent == old.equivalent
         assert np.isclose(new.fidelity, old.fidelity, atol=1e-12)
         assert new.algorithm == old.algorithm
@@ -172,20 +171,19 @@ class TestCheckSession:
             session.check(qft(2), qft(3))
 
 
-class TestLegacyShim:
-    def test_checker_exposes_config(self):
-        checker = EquivalenceChecker(epsilon=0.03, backend="dense")
-        assert checker.epsilon == 0.03
-        assert checker.backend == "dense"
-        assert checker.config.backend == "dense"
+class TestKeywordConstruction:
+    def test_session_exposes_config(self):
+        session = CheckSession(epsilon=0.03, backend="dense")
+        assert session.config.epsilon == 0.03
+        assert session.config.backend == "dense"
 
     def test_typo_backend_fails_at_construction(self):
         with pytest.raises(ValueError):
-            EquivalenceChecker(backend="tdd2")
+            CheckSession(backend="tdd2")
 
     def test_typo_order_method_fails_at_construction(self):
         with pytest.raises(ValueError):
-            EquivalenceChecker(order_method="sequental")
+            CheckSession(order_method="sequental")
 
 
 class TestSerialisation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import (
-    EquivalenceChecker,
+    CheckSession,
     NoiseModel,
     approx_equivalent,
     bernstein_vazirani,
@@ -52,13 +52,13 @@ class TestCheckerScenarios:
     def test_nisq_grade_noise_accepted(self):
         ideal = bernstein_vazirani(6)
         noisy = insert_random_noise(ideal, 10, seed=3)  # p = 0.999
-        out = EquivalenceChecker(epsilon=0.05).check(ideal, noisy)
+        out = CheckSession(epsilon=0.05).check(ideal, noisy)
         assert out.equivalent and out.algorithm == "alg2"
 
     def test_wrong_circuit_rejected(self):
         ideal = qft(3)
         wrong = qft(3).x(0)  # extra X: different unitary
-        out = EquivalenceChecker(epsilon=0.1, algorithm="alg2").check(
+        out = CheckSession(epsilon=0.1, algorithm="alg2").check(
             ideal, wrong
         )
         assert not out.equivalent
@@ -70,7 +70,7 @@ class TestCheckerScenarios:
         )
         noisy = model.apply(ideal)
         assert noisy.num_noise_sites > 5
-        out = EquivalenceChecker(epsilon=0.05).check(ideal, noisy)
+        out = CheckSession(epsilon=0.05).check(ideal, noisy)
         assert out.equivalent
 
     def test_epsilon_threshold_sharp(self):

@@ -1,6 +1,5 @@
 """Unit tests for the contraction-plan IR and planners."""
 
-import warnings
 
 import numpy as np
 import pytest
@@ -257,17 +256,6 @@ class TestBackendPlanProtocol:
         assert backend.plan_for(net) is backend.plan_for(net.copy())
         backend.reset()
         assert len(backend._plan_cache) == 0
-
-    def test_order_for_is_a_deprecated_shim(self):
-        backend = get_backend("dense")
-        net = qft_network()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            order = backend.order_for(net)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert sorted(order) == sorted(net.all_indices())
 
 
 class TestSliceHardCap:
